@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"aims/internal/fleet"
 	"aims/internal/propolyne"
 	"aims/internal/sensors"
+	"aims/internal/stream"
 	"aims/internal/svdstream"
 	"aims/internal/synth"
 	"aims/internal/vec"
@@ -472,6 +474,70 @@ func BenchmarkFleetQueryPlanCache(b *testing.B) {
 			run(b)
 		}
 	})
+}
+
+// BenchmarkFleetEvaluate runs fleet.Evaluate at the repository
+// benchmark's fleet shape — 256 sealed 28-channel glove sessions of 256
+// frames in a 64×16 cube, scatter pool GOMAXPROCS wide — for an exact
+// VARIANCE and an approximate COUNT over the whole session span. allocs/op
+// and B/op show the per-answer cost of the scatter and the exact scans.
+func BenchmarkFleetEvaluate(b *testing.B) {
+	const sessionsN, frames = 256, 256
+	specs := sensors.GloveSpecs()
+	sessions := make([]fleet.Session, sessionsN)
+	for i := range sessions {
+		dev := sensors.NewDevice(specs, sensors.DefaultClock, 1, int64(i+1))
+		batch := make([]stream.Frame, frames)
+		mins, maxs := make([]float64, len(specs)), make([]float64, len(specs))
+		for t := range batch {
+			batch[t] = stream.Frame{T: float64(t) / sensors.DefaultClock, Values: dev.Frame(t)}
+			for c, v := range batch[t].Values {
+				if t == 0 || v < mins[c] {
+					mins[c] = v
+				}
+				if t == 0 || v > maxs[c] {
+					maxs[c] = v
+				}
+			}
+		}
+		for c := range maxs {
+			maxs[c] += 1e-9 // a constant channel still gets a non-empty range
+		}
+		ls, err := core.NewLiveStore(mins, maxs, core.LiveStoreConfig{
+			Rate: sensors.DefaultClock, HorizonTicks: frames, TimeBuckets: 64, ValueBins: 16,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ls.AppendFrames(batch); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ls.Seal(); err != nil {
+			b.Fatal(err)
+		}
+		sessions[i] = fleet.Session{ID: uint64(i + 1), Class: "cyberglove", Store: ls}
+	}
+	cfg := fleet.Config{Workers: runtime.GOMAXPROCS(0), Timeout: time.Minute}
+	for _, bc := range []struct {
+		name string
+		kind wire.QueryKind
+		arg  uint32
+	}{{"exact", wire.QueryVariance, 0}, {"approx", wire.QueryApproxCount, 64}} {
+		req := fleet.Request{
+			Kind: bc.kind, Channel: 3, T0: 0, T1: frames / sensors.DefaultClock,
+			Arg: bc.arg, Scope: wire.FleetScope{Class: "cyberglove"},
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			fleet.Evaluate(context.Background(), sessions, req, cfg) // warm the plan cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r := fleet.Evaluate(context.Background(), sessions, req, cfg); !r.OK {
+					b.Fatalf("fleet query failed: code=%d", r.Code)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTransformNDParallel runs the multi-dimensional transform with

@@ -283,10 +283,13 @@ func (ls *LiveStore) checkChannel(channel int) error {
 }
 
 // moments scans the cube for Σ1, Σbin, Σbin² of one channel over a time
-// range — enough for COUNT, AVERAGE and VARIANCE.
-func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64, err error) {
+// range — enough for COUNT, AVERAGE and VARIANCE — together with the
+// frame high-water mark. The rows are read in place, row-major, under the
+// same read lock that reads the watermark, so the moments cover exactly
+// the first `frames` frames and the fold order never varies.
+func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64, frames uint64, err error) {
 	if err := ls.checkChannel(channel); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	lo, hi := ls.timeRange(t0, t1)
 	vb := ls.cfg.ValueBins
@@ -305,13 +308,13 @@ func (ls *LiveStore) moments(channel int, t0, t1 float64) (n, sum, sumSq float64
 			sumSq += fc * fb * fb
 		}
 	}
-	return n, sum, sumSq, nil
+	return n, sum, sumSq, uint64(ls.frames), nil
 }
 
 // CountSamples returns exactly how many samples channel recorded in
 // [t0, t1] seconds.
 func (ls *LiveStore) CountSamples(channel int, t0, t1 float64) (float64, error) {
-	n, _, _, err := ls.moments(channel, t0, t1)
+	n, _, _, _, err := ls.moments(channel, t0, t1)
 	return n, err
 }
 
@@ -319,7 +322,7 @@ func (ls *LiveStore) CountSamples(channel int, t0, t1 float64) (float64, error) 
 // [t0, t1] seconds, decoded through the channel's quantiser. ok=false on
 // an empty range.
 func (ls *LiveStore) AverageValue(channel int, t0, t1 float64) (float64, bool, error) {
-	n, sum, _, err := ls.moments(channel, t0, t1)
+	n, sum, _, _, err := ls.moments(channel, t0, t1)
 	if err != nil || n == 0 {
 		return 0, false, err
 	}
@@ -330,7 +333,7 @@ func (ls *LiveStore) AverageValue(channel int, t0, t1 float64) (float64, bool, e
 // VarianceValue returns the exact population variance of a channel's value
 // over [t0, t1] seconds, in value units.
 func (ls *LiveStore) VarianceValue(channel int, t0, t1 float64) (float64, bool, error) {
-	n, sum, sumSq, err := ls.moments(channel, t0, t1)
+	n, sum, sumSq, _, err := ls.moments(channel, t0, t1)
 	if err != nil || n == 0 {
 		return 0, false, err
 	}

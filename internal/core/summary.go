@@ -46,36 +46,16 @@ func (s Summary) Variance() (float64, bool) {
 // Summarize computes the channel's Summary over [t0, t1] seconds together
 // with the store's frame high-water mark at scan time.
 //
-// This is the fleet layer's read-only evaluation path: the row span is
-// copied out under a brief read lock — O(buckets × bins) memcpy, no
-// arithmetic — and the moment scan runs on the copy, outside any lock. A
-// fleet fan-out over thousands of sessions therefore never holds a store
-// lock for the duration of the math, so ingest appends interleave with
-// fleet scans instead of serialising behind them; and because the copy is
-// atomic under the lock, the summary covers exactly the first `frames`
-// frames (the watermark reported back in the fleet result).
+// This is the fleet layer's read-only evaluation path. The moment scan
+// reads the queried rows in place under the store's read lock — the same
+// lock hold that reads the watermark — so the summary covers exactly the
+// first `frames` frames (the watermark reported back in the fleet result)
+// and allocates nothing. Appends wait for at most one span scan, O(buckets
+// × bins); the decode into value units runs after the lock is released.
 func (ls *LiveStore) Summarize(channel int, t0, t1 float64) (Summary, uint64, error) {
-	if err := ls.checkChannel(channel); err != nil {
+	n, sum, sumSq, frames, err := ls.moments(channel, t0, t1)
+	if err != nil {
 		return Summary{}, 0, err
-	}
-	lo, hi := ls.timeRange(t0, t1)
-	vb := ls.cfg.ValueBins
-	span := make([]uint32, (hi-lo+1)*vb)
-	ls.mu.RLock()
-	frames := uint64(ls.frames)
-	copy(span, ls.cube[(channel*ls.cfg.TimeBuckets+lo)*vb:(channel*ls.cfg.TimeBuckets+hi+1)*vb])
-	ls.mu.RUnlock()
-
-	var n, sum, sumSq float64
-	for i, cnt := range span {
-		if cnt == 0 {
-			continue
-		}
-		fc := float64(cnt)
-		fb := float64(i % vb)
-		n += fc
-		sum += fc * fb
-		sumSq += fc * fb * fb
 	}
 	q := ls.quant[channel]
 	min, step := q.Min, q.Step()

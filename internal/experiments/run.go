@@ -27,7 +27,7 @@ func All() []Runner {
 		{"E13", "live_seal: incremental seal costs O(delta since last seal), not O(cube)", func(w io.Writer) { RunE13(w) }},
 		{"E14", "obs_overhead: default-rate tracing costs <2% ingest throughput", func(w io.Writer) { RunE14(w) }},
 		{"E15", "journal_overhead: interval-fsync WAL costs <10% ingest; recovery is snapshot + O(tail) replay", func(w io.Writer) { RunE15(w) }},
-		{"E16", "fleet_scale: cross-session fleet queries grow sub-linearly in session count", func(w io.Writer) { RunE16(w) }},
+		{"E16", "fleet_scale: flat per-session cost of cross-session fleet queries, divided by the scatter pool's speed-up", func(w io.Writer) { RunE16(w) }},
 		{"E17", "query_plan: cached compiled plans answer repeated queries ≥5× faster than cold compiles", func(w io.Writer) { RunE17(w) }},
 		{"E18", "trace_overhead: always-on slow-query log costs <2% query throughput", func(w io.Writer) { RunE18(w) }},
 		{"E19", "chaos: exactly-once ingest under injected faults; recovery p99 < 2× max backoff", func(w io.Writer) { RunE19(w) }},

@@ -8,13 +8,14 @@
 // result spans stores owned by different goroutines.
 //
 // Consistency contract: sessions keep ingesting while a fleet query runs.
-// Each session contributes frames up to its own high-water mark at scatter
-// time — for exact kinds the atomically copied span of core.Summarize, for
-// approximate kinds the sealed engine's state at evaluation — and that
-// watermark is reported back per session in the result, so a caller knows
-// exactly which prefix of each stream the answer covers. There is no
-// cross-session barrier: the fleet answer is a consistent-per-session,
-// best-effort-across-sessions snapshot.
+// Each session contributes frames up to its own high-water mark at scan
+// time — for exact kinds the rows core.Summarize reads in place under the
+// same read lock as the watermark, for approximate kinds the sealed
+// engine's state at evaluation — and that watermark is reported back per
+// session in the result, so a caller knows exactly which prefix of each
+// stream the answer covers. There is no cross-session barrier: the fleet
+// answer is a consistent-per-session, best-effort-across-sessions
+// snapshot.
 //
 // Merge semantics per kind:
 //
@@ -25,10 +26,13 @@
 //     combined guaranteed bound that is the sum of per-session bounds
 //     (|Σeᵢ − Σcᵢ| ≤ Σ|eᵢ − cᵢ| ≤ Σboundᵢ).
 //
-// Merging folds in ascending session-ID order regardless of gather
-// completion order, so a fleet answer over a fixed set of stores is
-// bit-identical to evaluating each session individually and merging
-// client-side with the same fold (the equivalence property the tests pin).
+// The scatter is a pool of min(Workers, sessions) goroutines claiming
+// contiguous chunks of the matched set from one atomic cursor and writing
+// each outcome into its own preallocated slot. Merging folds the answered
+// slots in ascending session-ID order regardless of completion order, so
+// a fleet answer over a fixed set of stores is bit-identical to
+// evaluating each session individually and merging client-side with the
+// same fold (the equivalence property the tests pin).
 //
 // Approximate kinds compile once per distinct engine geometry per fleet
 // query, not once per session: every per-session scan routes through
@@ -44,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"aims/internal/core"
@@ -124,6 +129,13 @@ func (c Config) withDefaults() Config {
 // session (the caller reports those as per-session failures).
 func Match(sessions []Session, scope wire.FleetScope) (matched []Session, missing []uint64) {
 	if scope.Class != "" {
+		n := 0
+		for _, s := range sessions {
+			if s.Class == scope.Class {
+				n++
+			}
+		}
+		matched = make([]Session, 0, n)
 		for _, s := range sessions {
 			if s.Class == scope.Class {
 				matched = append(matched, s)
@@ -147,7 +159,11 @@ func Match(sessions []Session, scope wire.FleetScope) (matched []Session, missin
 			}
 		}
 	}
-	sort.Slice(matched, func(i, j int) bool { return matched[i].ID < matched[j].ID })
+	// A caller that keeps its sessions in ID order pays an O(n) check here
+	// instead of a sort.
+	if !sort.SliceIsSorted(matched, func(i, j int) bool { return matched[i].ID < matched[j].ID }) {
+		sort.Slice(matched, func(i, j int) bool { return matched[i].ID < matched[j].ID })
+	}
 	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
 	return matched, missing
 }
@@ -273,19 +289,98 @@ func Merge(kind wire.QueryKind, parts []wire.FleetPart) (value, bound float64, c
 	return 0, 0, 0, false
 }
 
-// gathered is one scatter slot's outcome.
-type gathered struct {
-	idx  int
+// slot is one matched session's scatter outcome. Its worker writes part
+// or err and then publishes the slot by setting done; the gather reads
+// part and err only after it has seen done set, so a straggler finishing
+// after the deadline writes a slot nobody reads.
+type slot struct {
 	part wire.FleetPart
 	err  error
+	done atomic.Bool
 }
 
-// fleetJob is one scatter slot: the matched-session index plus the time it
-// was queued, so a traced evaluation can report how long the session waited
-// for a pool worker (the queue-wait span).
-type fleetJob struct {
-	idx     int
-	created time.Time
+// scatter scans matched on min(Workers, len(matched)) goroutines and
+// returns one slot per session once every slot is published or ctx is
+// done, whichever comes first. Workers claim contiguous chunks of about
+// len/(workers·4) sessions from one shared cursor, so a slow session
+// delays only the rest of its chunk while the other workers drain the
+// cursor, and dispatch costs one atomic add per chunk, not a channel
+// hand-off per session. The last worker to finish closes finished.
+func scatter(ctx context.Context, matched []Session, req Request, cfg Config) []slot {
+	n := len(matched)
+	slots := make([]slot, n)
+	workers := min(cfg.Workers, n)
+	if workers == 0 {
+		return slots
+	}
+	chunk := max(1, n/(workers*4))
+	// The clock is read per session only for the queue-wait span and the
+	// ScanSeconds observer; the untraced, unobserved path reads it never.
+	timed := req.Trace != nil || cfg.Observer.ScanSeconds != nil
+	var start time.Time
+	if req.Trace != nil {
+		start = time.Now()
+	}
+	expired := ctx.Done()
+	scan := func(i int) {
+		sl := &slots[i]
+		defer sl.done.Store(true)
+		// Expired already? Publish the slot without scanning: the gather
+		// marks it CodeDeadline, and the worker moves on instead of burning
+		// time on an answer nobody will read.
+		select {
+		case <-expired:
+			sl.err = errDeadlineSlot
+			return
+		default:
+		}
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		var sid obs.SpanID
+		if req.Trace != nil {
+			// One child subtree per session: queue wait (scatter start to
+			// the slot's claim), then the scan's breakdown. Stamps on a
+			// trace a deadline already finished are no-ops.
+			sid = req.Trace.StartSpan(req.TraceParent, fmt.Sprintf("session-%d", matched[i].ID))
+			req.Trace.AddSpan(sid, "queue-wait", start, t0)
+		}
+		sl.part, sl.err = evalSessionTraced(matched[i], req, req.Trace, sid)
+		if req.Trace != nil {
+			req.Trace.EndSpan(sid)
+		}
+		if cfg.Observer.ScanSeconds != nil {
+			cfg.Observer.ScanSeconds(time.Since(t0).Seconds())
+		}
+	}
+
+	var cursor, running atomic.Int64
+	running.Store(int64(workers))
+	finished := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer func() {
+				if running.Add(-1) == 0 {
+					close(finished)
+				}
+			}()
+			for {
+				lo := int(cursor.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
+				}
+				for i := lo; i < min(lo+chunk, n); i++ {
+					scan(i)
+				}
+			}
+		}()
+	}
+	select {
+	case <-finished:
+	case <-expired:
+	}
+	return slots
 }
 
 // Evaluate runs one fleet query over the given session snapshot (the
@@ -317,105 +412,26 @@ func Evaluate(ctx context.Context, sessions []Session, req Request, cfg Config) 
 		cfg.Observer.FanOut(len(matched))
 	}
 
-	// Scatter: a bounded worker pool pulls session indices; gathers land on
-	// a buffered channel so a straggler finishing after the deadline never
-	// blocks (its result is simply never read).
-	workers := cfg.Workers
-	if workers > len(matched) {
-		workers = len(matched)
-	}
-	jobs := make(chan fleetJob)
-	results := make(chan gathered, len(matched))
-	for w := 0; w < workers; w++ {
-		go func() {
-			for j := range jobs {
-				// Expired already? Return the slot without scanning: the
-				// gather marks it CodeDeadline, and the worker is free for
-				// the next job instead of burning its budget on an answer
-				// nobody will read.
-				select {
-				case <-ctx.Done():
-					results <- gathered{idx: j.idx, err: errDeadlineSlot}
-					continue
-				default:
-				}
-				t0 := time.Now()
-				var sid obs.SpanID
-				if req.Trace != nil {
-					// One child subtree per session: queue wait (job creation
-					// to worker pickup), then the scan's internal breakdown.
-					// Stamps on a trace a deadline already finished are no-ops.
-					sid = req.Trace.StartSpan(req.TraceParent,
-						fmt.Sprintf("session-%d", matched[j.idx].ID))
-					req.Trace.AddSpan(sid, "queue-wait", j.created, t0)
-				}
-				part, err := evalSessionTraced(matched[j.idx], req, req.Trace, sid)
-				if req.Trace != nil {
-					req.Trace.EndSpan(sid)
-				}
-				if cfg.Observer.ScanSeconds != nil {
-					cfg.Observer.ScanSeconds(time.Since(t0).Seconds())
-				}
-				results <- gathered{idx: j.idx, part: part, err: err}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		// The creation stamp feeds only the queue-wait span; skip the
-		// per-job clock read entirely on the untraced hot path.
-		traced := req.Trace != nil
-		for i := range matched {
-			var created time.Time
-			if traced {
-				created = time.Now()
-			}
-			select {
-			case jobs <- fleetJob{idx: i, created: created}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// Gather until every slot reports or the deadline fires; slots still
-	// outstanding at the deadline become CodeDeadline failures.
-	parts := make([]*wire.FleetPart, len(matched))
-	errs := make([]error, len(matched))
-	reported := 0
-gather:
-	for reported < len(matched) {
-		select {
-		case g := <-results:
-			reported++
-			if g.err != nil {
-				errs[g.idx] = g.err
-			} else {
-				p := g.part
-				parts[g.idx] = &p
-			}
-		case <-ctx.Done():
-			break gather
-		}
-	}
+	slots := scatter(ctx, matched, req, cfg)
 
 	t0 := time.Now()
 	merged := make([]wire.FleetPart, 0, len(matched))
 	for i, s := range matched {
+		sl := &slots[i]
 		switch {
-		case parts[i] != nil:
-			merged = append(merged, *parts[i])
-		case errors.Is(errs[i], errDeadlineSlot):
+		case !sl.done.Load():
 			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeDeadline, Text: errs[i].Error(),
+				ID: s.ID, Code: wire.CodeDeadline, Text: "scan unfinished at fleet deadline",
 			})
-		case errs[i] != nil:
+		case sl.err == nil:
+			merged = append(merged, sl.part)
+		case errors.Is(sl.err, errDeadlineSlot):
 			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeBadQuery, Text: errs[i].Error(),
+				ID: s.ID, Code: wire.CodeDeadline, Text: sl.err.Error(),
 			})
 		default:
 			res.Failures = append(res.Failures, wire.FleetFailure{
-				ID: s.ID, Code: wire.CodeDeadline, Text: "scan unfinished at fleet deadline",
+				ID: s.ID, Code: wire.CodeBadQuery, Text: sl.err.Error(),
 			})
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,14 @@ import (
 // cross heterogeneous quantisers.
 func buildFleet(t testing.TB, n int, class string, seed int64) []Session {
 	t.Helper()
+	return buildObservedFleet(t, n, class, seed, nil)
+}
+
+// buildObservedFleet is buildFleet with every store reporting its seals to
+// sealObserver.
+func buildObservedFleet(t testing.TB, n int, class string, seed int64,
+	sealObserver func(time.Duration, bool, int)) []Session {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Session, 0, n)
 	for i := 0; i < n; i++ {
@@ -27,6 +37,7 @@ func buildFleet(t testing.TB, n int, class string, seed int64) []Session {
 		}
 		ls, err := core.NewLiveStore([]float64{lo, lo}, []float64{hi, hi}, core.LiveStoreConfig{
 			Rate: 100, TimeBuckets: 64, ValueBins: 32, HorizonTicks: 6400,
+			SealObserver: sealObserver,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -292,5 +303,106 @@ func TestExpiredDeadlineReturnsSlotsWithoutScanning(t *testing.T) {
 	}
 	if res.Code != wire.CodePartial {
 		t.Fatalf("code %s, want partial", res.Code)
+	}
+}
+
+// sameResult reports whether two fleet results agree bit for bit on the
+// merged answer and on every per-session part.
+func sameResult(a, b wire.FleetResult) bool {
+	if a.OK != b.OK || a.Code != b.Code || a.Coefficients != b.Coefficients ||
+		a.Sessions != b.Sessions || a.Merged != b.Merged || len(a.Parts) != len(b.Parts) ||
+		math.Float64bits(a.Value) != math.Float64bits(b.Value) ||
+		math.Float64bits(a.Bound) != math.Float64bits(b.Bound) {
+		return false
+	}
+	for i, p := range a.Parts {
+		q := b.Parts[i]
+		if p.ID != q.ID || p.Frames != q.Frames || p.Coefficients != q.Coefficients ||
+			math.Float64bits(p.N) != math.Float64bits(q.N) ||
+			math.Float64bits(p.Sum) != math.Float64bits(q.Sum) ||
+			math.Float64bits(p.SumSq) != math.Float64bits(q.SumSq) ||
+			math.Float64bits(p.Bound) != math.Float64bits(q.Bound) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWorkerCountInvariance: the scatter's chunking is invisible in the
+// answer. For every kind, the result over a fleet is bit-identical at
+// every pool width — one worker, widths that do not divide the fleet
+// into even chunks, and widths above the session count.
+func TestWorkerCountInvariance(t *testing.T) {
+	kinds := []wire.QueryKind{wire.QueryCount, wire.QueryAverage, wire.QueryVariance,
+		wire.QueryApproxCount, wire.QueryProgressiveCount}
+	all := buildFleet(t, 257, "glove", 41)
+	for _, n := range []int{0, 1, 5, 257} {
+		sessions := all[:n]
+		for _, kind := range kinds {
+			req := Request{
+				Kind: kind, Channel: 1, T0: 1.5, T1: 17, Arg: 24,
+				Scope: wire.FleetScope{Class: "glove"},
+			}
+			want := Evaluate(context.Background(), sessions, req, Config{Workers: 1})
+			if int(want.Merged) != n {
+				t.Fatalf("n=%d kind %d: merged %d of %d at one worker: %+v", n, kind, want.Merged, n, want.Failures)
+			}
+			for _, w := range []int{2, 3, 7, 16, 64} {
+				got := Evaluate(context.Background(), sessions, req, Config{Workers: w})
+				if !sameResult(got, want) {
+					t.Fatalf("n=%d kind %d: %d workers gave %+v, one worker %+v", n, kind, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStragglerCannotChangeResult: a scan still running when the fleet
+// deadline fires finishes after Evaluate has returned. Its late writes
+// must land in scatter state nobody reads any more: the returned result
+// stays exactly as it was returned, and -race sees no access it shares
+// with the straggler. The sessions seal cold on one worker; the deadline
+// is the caller's context, cancelled from inside the fifth seal, which
+// then blocks until Evaluate has returned — so the fifth scan is a
+// straggler on every run, not only when a timer happens to land mid-scan.
+func TestStragglerCannotChangeResult(t *testing.T) {
+	const straggler = 4 // index of the scan in flight at the deadline
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce() // a failed check must not leave the worker blocked
+	var seals atomic.Int64
+	sessions := buildObservedFleet(t, 48, "glove", 17, func(time.Duration, bool, int) {
+		if seals.Add(1) == straggler+1 {
+			cancel()
+			<-release
+		}
+	})
+	scans := make(chan struct{}, len(sessions))
+	cfg := Config{Workers: 1, Observer: Observer{
+		ScanSeconds: func(float64) { scans <- struct{}{} },
+	}}
+	req := Request{
+		Kind: wire.QueryApproxCount, Channel: 0, T0: 0, T1: 30, Arg: 16,
+		Scope: wire.FleetScope{Class: "glove"}, Partial: true,
+	}
+	res := Evaluate(ctx, sessions, req, cfg)
+	want := res
+	want.Parts = append([]wire.FleetPart(nil), res.Parts...)
+	want.Failures = append([]wire.FleetFailure(nil), res.Failures...)
+	if res.Code != wire.CodePartial || res.Merged != straggler || len(res.Failures) != len(sessions)-straggler {
+		t.Fatalf("code %s, merged %d + failed %d, want partial with %d + %d",
+			res.Code, res.Merged, len(res.Failures), straggler, len(sessions)-straggler)
+	}
+
+	// Let the straggler finish: its part is written before its scan time
+	// is reported, which is the fifth report.
+	releaseOnce()
+	for i := 0; i <= straggler; i++ {
+		<-scans
+	}
+	if !sameResult(res, want) || !reflect.DeepEqual(res.Failures, want.Failures) {
+		t.Fatalf("result changed after Evaluate returned:\nnow  %+v\nwant %+v", res, want)
 	}
 }
